@@ -24,9 +24,11 @@ import (
 // system's translation cache — a demanded function is JIT-compiled once
 // no matter how many sessions demand it — but each session owns its
 // machine, memory image, runtime environment, and SMC redirect state,
-// so concurrent sessions never observe each other's execution. A
-// Session's methods must not be called concurrently with each other;
-// different Sessions are independent.
+// so concurrent sessions never observe each other's execution. Close
+// ends a session and hands a sealed session's address space back to
+// the System for the next NewSession. A Session's methods must not be
+// called concurrently with each other; different Sessions are
+// independent.
 type Session struct {
 	sys *System
 	ms  *moduleState
@@ -56,6 +58,8 @@ type Session struct {
 	// restore it to a state bit-identical to a fresh session's. An SMC
 	// redirect acquired at run time disqualifies it (Resettable).
 	reusable bool
+	// closed is set by Close: Run and Reset refuse from then on.
+	closed bool
 
 	// Tier-up hot-swap state: pending holds tier-2 code delivered by
 	// background workers (any goroutine, guarded by pendMu) until the
@@ -125,7 +129,7 @@ func (sys *System) NewSession(m *core.Module, d *target.Desc, out io.Writer, opt
 	// which may be a structurally identical duplicate. The data image
 	// was built once with the module state; each session clones the
 	// prototype instead of re-encoding every global initializer.
-	env := rt.NewEnv(mem.New(cfg.memSize, ms.module.LittleEndian), out)
+	env := rt.NewEnv(sys.newMemory(cfg.memSize, ms.module.LittleEndian), out)
 	mc, err := machine.NewWithImage(d, ms.module, env, ms.img.Clone())
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadModule, err)
@@ -202,6 +206,42 @@ func (sys *System) NewSession(m *core.Module, d *target.Desc, out io.Writer, opt
 	return s, nil
 }
 
+// newMemory returns a session address space of size bytes (0: the mem
+// default), recycled from the spare list when one of that size is free.
+// Spares are zeroed in full when handed back, so a recycled space is
+// byte for byte a fresh one.
+func (sys *System) newMemory(size uint64, little bool) *mem.Memory {
+	if size == 0 {
+		size = mem.DefaultSize
+	}
+	if space := sys.takeSpare(size); space != nil {
+		sys.tele.Counter(MetricSessionRecycled).Inc()
+		return mem.Reuse(space, little)
+	}
+	return mem.New(size, little)
+}
+
+// Close ends the session. A sealed session (created WithReuse on an
+// offline state) hands its address space, zeroed in full, to the
+// System's bounded spare list, where the next NewSession of the same
+// memory size takes it instead of allocating. Afterwards Run and Reset
+// fail with ErrClosed, and neither the session's Machine nor its Env
+// may be used. Close is idempotent.
+func (s *Session) Close() {
+	s.runMu.Lock()
+	defer s.runMu.Unlock()
+	if s.closed {
+		return
+	}
+	s.closed = true
+	if s.reusable {
+		s.sys.putSpare(s.env.Mem.Release())
+	}
+}
+
+// ErrClosed reports a Run or Reset on a session after Close.
+var ErrClosed = errors.New("llee: session is closed")
+
 // ErrNotReusable reports a Reset on a session that cannot be reused: it
 // was not created WithReuse on an offline module state, or it acquired
 // an SMC redirect at run time.
@@ -211,7 +251,7 @@ var ErrNotReusable = errors.New("llee: session is not reusable")
 // sealed for reuse and no run self-modified its code. A serving layer
 // checks this before pooling a finished session; false means discard.
 func (s *Session) Resettable() bool {
-	return s.reusable && len(s.redirect) == 0
+	return s.reusable && !s.closed && len(s.redirect) == 0
 }
 
 // Reset returns a finished reusable session to its pristine state so
@@ -227,6 +267,9 @@ func (s *Session) Resettable() bool {
 func (s *Session) Reset(out io.Writer, gas uint64, tenant string) error {
 	s.runMu.Lock()
 	defer s.runMu.Unlock()
+	if s.closed {
+		return ErrClosed
+	}
 	if !s.Resettable() {
 		return ErrNotReusable
 	}
@@ -286,6 +329,9 @@ func (s *Session) installPending() {
 func (s *Session) Run(ctx context.Context, entry string, args ...uint64) (Result, error) {
 	s.runMu.Lock()
 	defer s.runMu.Unlock()
+	if s.closed {
+		return Result{}, ErrClosed
+	}
 	if f := s.ms.module.Function(entry); f == nil || f.IsDeclaration() {
 		return Result{}, fmt.Errorf("%w: no entry function %%%s", ErrBadModule, entry)
 	}

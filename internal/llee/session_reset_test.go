@@ -20,7 +20,9 @@ import (
 // the whole workload suite on both targets, a pooled session that ran
 // once and was Reset must produce a bit-identical second run — same
 // value, same instruction and cycle counts, same output — as a fresh
-// session on the same preloaded state.
+// session on the same preloaded state. So must a session built on the
+// address space the pooled session hands back at Close, which must also
+// start byte for byte equal to the fresh session's memory.
 func TestResetDifferentialWorkloads(t *testing.T) {
 	suite := workloads.All()
 	if testing.Short() {
@@ -44,6 +46,7 @@ func TestResetDifferentialWorkloads(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				pristine := bytes.Clone(memView(t, fresh))
 				want, err := fresh.Run(context.Background(), "main")
 				if err != nil {
 					t.Fatal(err)
@@ -70,19 +73,50 @@ func TestResetDifferentialWorkloads(t *testing.T) {
 					t.Fatal(err)
 				}
 
-				for i, r := range []Result{r1, r2} {
+				// Hand the dirty space back and run once more on it.
+				sess.Close()
+				var out3 bytes.Buffer
+				recycled, err := sys.NewSession(m, d, &out3)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n := sys.Telemetry().CounterValue(MetricSessionRecycled); n != 1 {
+					t.Fatalf("session not built on the recycled space (recycled = %d)", n)
+				}
+				if !bytes.Equal(memView(t, recycled), pristine) {
+					t.Fatal("recycled session's initial memory differs from a fresh session's")
+				}
+				r3, err := recycled.Run(context.Background(), "main")
+				if err != nil {
+					t.Fatal(err)
+				}
+
+				for i, r := range []Result{r1, r2, r3} {
 					if r.Value != want.Value || r.Instrs != want.Instrs || r.Cycles != want.Cycles {
 						t.Errorf("run %d: {v=%d i=%d c=%d}, fresh {v=%d i=%d c=%d}",
 							i+1, r.Value, r.Instrs, r.Cycles, want.Value, want.Instrs, want.Cycles)
 					}
 				}
-				if out1.String() != freshOut.String() || out2.String() != freshOut.String() {
-					t.Errorf("output diverged: fresh %d bytes, run1 %d, run2 %d",
-						freshOut.Len(), out1.Len(), out2.Len())
+				if out1.String() != freshOut.String() || out2.String() != freshOut.String() ||
+					out3.String() != freshOut.String() {
+					t.Errorf("output diverged: fresh %d bytes, run1 %d, run2 %d, recycled %d",
+						freshOut.Len(), out1.Len(), out2.Len(), out3.Len())
 				}
 			})
 		}
 	}
+}
+
+// memView is a session's whole guest address space above the null
+// guard, viewed in place.
+func memView(t *testing.T, s *Session) []byte {
+	t.Helper()
+	gm := s.Env().Mem
+	view, err := gm.Bytes(mem.NullGuard, gm.Size()-mem.NullGuard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return view
 }
 
 // secretProg plants a recognizable pattern across a heap block and the

@@ -25,7 +25,11 @@ import (
 // single-flight deduplication, so N concurrent sessions of the same
 // module JIT each demanded function exactly once. Per-run state
 // (machine, memory, runtime environment) lives in Session objects
-// created with NewSession. A System is safe for concurrent use.
+// created with NewSession. A module's state lives from its first
+// NewSession, Preload or Translate until Release drops it (or for the
+// System's lifetime); the System also keeps a small bounded list of
+// zeroed address spaces that closed sessions hand back and new
+// sessions take. A System is safe for concurrent use.
 type System struct {
 	storage   Storage // nil: no OS storage API registered
 	tele      *telemetry.Registry
@@ -47,7 +51,18 @@ type System struct {
 	mu     sync.Mutex
 	mods   map[string]*moduleState // stamp + ":" + target name
 	closed bool
+
+	// spares are zeroed address spaces handed back by Session.Close,
+	// at most maxSpareBytes in all; NewSession takes one of its size
+	// before allocating.
+	spareMu    sync.Mutex
+	spares     [][]byte
+	spareBytes uint64
 }
+
+// maxSpareBytes bounds the address spaces the spare list keeps: sixteen
+// of llva-serve's 4 MiB sessions, or one default-size space.
+const maxSpareBytes = 64 << 20
 
 // Options come in two types, one per scope, so the compiler rejects a
 // session setting passed to NewSystem (and vice versa) instead of the
@@ -293,12 +308,68 @@ func (sys *System) Close() error {
 	return first
 }
 
+// Release drops the state of the module with content stamp stamp on
+// target d, for a caller that will start no more sessions of it: the
+// state leaves the System, its speculator stops, and translations not
+// yet persisted are written back. Sessions already created keep running
+// correctly (demands translate inline, as after Close); a later
+// NewSession or Preload of the same module builds a fresh state.
+// Releasing an unknown stamp is a no-op. For a state no online session
+// ran on — every state llva-serve creates — there is nothing to write
+// back and no speculator running, so Release costs a map delete.
+func (sys *System) Release(stamp string, d *target.Desc) error {
+	key := stamp + ":" + d.Name
+	sys.mu.Lock()
+	ms := sys.mods[key]
+	if ms != nil {
+		delete(sys.mods, key)
+		sys.tele.Gauge(MetricModuleStates).Set(int64(len(sys.mods)))
+	}
+	sys.mu.Unlock()
+	if ms == nil {
+		return nil
+	}
+	sys.tele.Counter(MetricModuleEvictions).Inc()
+	ms.spec.Close()
+	return ms.writeBack()
+}
+
+// putSpare keeps a zeroed address space for a later NewSession, unless
+// the spare list is full.
+func (sys *System) putSpare(space []byte) {
+	sys.spareMu.Lock()
+	defer sys.spareMu.Unlock()
+	if sys.spareBytes+uint64(len(space)) <= maxSpareBytes {
+		sys.spares = append(sys.spares, space)
+		sys.spareBytes += uint64(len(space))
+	}
+}
+
+// takeSpare removes and returns a spare address space of exactly size
+// bytes, or nil.
+func (sys *System) takeSpare(size uint64) []byte {
+	sys.spareMu.Lock()
+	defer sys.spareMu.Unlock()
+	for i, space := range sys.spares {
+		if uint64(len(space)) == size {
+			last := len(sys.spares) - 1
+			sys.spares[i] = sys.spares[last]
+			sys.spares[last] = nil
+			sys.spares = sys.spares[:last]
+			sys.spareBytes -= size
+			return space
+		}
+	}
+	return nil
+}
+
 // moduleState is the system-wide state of one module on one target,
 // keyed by content stamp: the translator, the shared single-flight
 // translation cache, the decoded offline-cache contents, and the
 // profile-seeded trace-cache state. It is created once — under the
 // system lock, before any session's machine exists — so the
-// profile-driven relayout of the module happens exactly once.
+// profile-driven relayout of the module happens exactly once, and it
+// stays in System.mods until Release drops it.
 type moduleState struct {
 	sys    *System
 	module *core.Module // the canonical (possibly relaid-out) module copy
@@ -434,6 +505,7 @@ func (sys *System) state(m *core.Module, d *target.Desc) (*moduleState, error) {
 		ms.spec.SetTier2(ms.tr2, ms.onTierUp)
 	}
 	sys.mods[key] = ms
+	sys.tele.Gauge(MetricModuleStates).Set(int64(len(sys.mods)))
 	return ms, nil
 }
 

@@ -34,6 +34,13 @@ const (
 	// dirty pages each reset had to restore.
 	MetricSessionResets   = "llee.session.resets"
 	MetricResetDirtyPages = "llee.session.reset_dirty_pages"
+
+	// Lifetimes (System.Release, Session.Close): module states the
+	// System holds now, states dropped by Release, and sessions built on
+	// a recycled address space instead of a fresh allocation.
+	MetricModuleStates    = "llee.module_states"
+	MetricModuleEvictions = "llee.module_evictions"
+	MetricSessionRecycled = "llee.session.recycled"
 )
 
 // recordTranslate accounts one translation batch (n functions, ns total).

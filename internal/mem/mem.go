@@ -83,8 +83,17 @@ func New(size uint64, littleEndian bool) *Memory {
 	if size == 0 {
 		size = DefaultSize
 	}
-	m := &Memory{
-		data:      make([]byte, size),
+	return Reuse(make([]byte, size), littleEndian)
+}
+
+// Reuse creates a memory over space, a backing array handed back by
+// Release. Release zeroes it in full, so the result is byte for byte the
+// memory New would make for the same size — only the allocation (and
+// the page faults of first touch) is saved.
+func Reuse(space []byte, littleEndian bool) *Memory {
+	size := uint64(len(space))
+	return &Memory{
+		data:      space,
 		little:    littleEndian,
 		heapStart: NullGuard,
 		brk:       NullGuard,
@@ -93,7 +102,16 @@ func New(size uint64, littleEndian bool) *Memory {
 		free:      make(map[int][]uint64),
 		blockSize: make(map[uint64]uint64),
 	}
-	return m
+}
+
+// Release zeroes the whole address space and returns its backing array
+// for Reuse. The memory, and every view of it from Bytes or CBytes,
+// must not be used afterwards: the array belongs to its next owner.
+func (m *Memory) Release() []byte {
+	space := m.data
+	clear(space)
+	m.data = nil
+	return space
 }
 
 // Size returns the total address-space size.

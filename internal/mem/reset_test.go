@@ -165,3 +165,52 @@ func TestResetUnsealedNoop(t *testing.T) {
 		t.Errorf("unsealed Reset clobbered memory: %d", v)
 	}
 }
+
+// TestReuseAfterReleaseIsFresh: a space that was sealed, scribbled on
+// past its seal and released comes back through Reuse indistinguishable
+// from New — every byte zero, the allocator at its initial registers —
+// and the released memory no longer owns the array.
+func TestReuseAfterReleaseIsFresh(t *testing.T) {
+	m, _ := sealFixture(t)
+	a, err := m.Alloc(3 * PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.WriteBytes(a, bytes.Repeat([]byte{0xee}, 3*PageSize)); err != nil {
+		t.Fatal(err)
+	}
+	sp, err := m.PushStack(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Store(sp, 8, 0x5ec2e75e5ec2e75e); err != nil {
+		t.Fatal(err)
+	}
+	space := m.Release()
+	if m.Size() != 0 {
+		t.Fatalf("released memory still reports %d bytes", m.Size())
+	}
+
+	got, want := Reuse(space, true), New(uint64(len(space)), true)
+	if !bytes.Equal(got.data, want.data) {
+		t.Fatal("recycled space differs from a fresh one")
+	}
+	if got.Size() != want.Size() || got.SP() != want.SP() || got.HeapUsed() != want.HeapUsed() ||
+		got.brk != want.brk || got.Sealed() || len(got.blockSize) != 0 {
+		t.Fatalf("recycled allocator state differs from a fresh one: size=%d sp=%#x brk=%#x sealed=%v",
+			got.Size(), got.SP(), got.brk, got.Sealed())
+	}
+	// The recycled memory behaves as new: the first allocation lands where
+	// a fresh memory's would.
+	ga, err := got.Alloc(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wa, err := want.Alloc(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ga != wa {
+		t.Fatalf("first allocation at %#x, fresh memory's at %#x", ga, wa)
+	}
+}

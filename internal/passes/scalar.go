@@ -1,6 +1,8 @@
 package passes
 
 import (
+	"strconv"
+
 	"llva/internal/analysis"
 	"llva/internal/core"
 )
@@ -204,6 +206,11 @@ func CSE(m *core.Module, s *Stats) bool {
 		cfg := analysis.NewCFG(f)
 		dt := analysis.NewDomTreeCFG(cfg)
 		changed := false
+		// ids names operand values by identity for this function's keys
+		// only: it dies with the call, so optimized IR never stays
+		// reachable from the pass, and concurrent Optimize calls share
+		// nothing.
+		ids := make(map[core.Value]string)
 
 		type scope map[string]*core.Instruction
 		var walk func(b int, table []scope)
@@ -215,7 +222,7 @@ func CSE(m *core.Module, s *Stats) bool {
 				if !cseable(in) {
 					continue
 				}
-				key := cseKey(in)
+				key := cseKey(in, ids)
 				var found *core.Instruction
 				for i := len(table) - 1; i >= 0 && found == nil; i-- {
 					found = table[i][key]
@@ -246,48 +253,26 @@ func cseable(in *core.Instruction) bool {
 	return isPure(in) && in.HasResult()
 }
 
-func cseKey(in *core.Instruction) string {
+func cseKey(in *core.Instruction, ids map[core.Value]string) string {
 	key := in.Op().String() + ":" + in.Type().String()
 	for _, op := range in.Operands() {
-		key += "|" + operandKey(op)
+		key += "|" + operandKey(op, ids)
 	}
 	return key
 }
 
-func operandKey(v core.Value) string {
-	switch x := v.(type) {
-	case *core.Constant:
+// operandKey keys constants by value and every other operand by
+// identity, numbering each distinct value the first time ids sees it.
+func operandKey(v core.Value, ids map[core.Value]string) string {
+	if x, ok := v.(*core.Constant); ok {
 		return "c" + x.Type().String() + " " + x.Ident()
-	default:
-		// identity-based: use the pointer via a stable per-value name
-		return valueKey(v)
 	}
-}
-
-// valueKeys assigns stable unique IDs to values for CSE keys.
-var valueKeys = map[core.Value]string{}
-var valueKeyN int
-
-func valueKey(v core.Value) string {
-	if k, ok := valueKeys[v]; ok {
-		return k
+	k, ok := ids[v]
+	if !ok {
+		k = "v" + strconv.Itoa(len(ids))
+		ids[v] = k
 	}
-	valueKeyN++
-	k := "v" + itoa(valueKeyN)
-	valueKeys[v] = k
 	return k
-}
-
-func itoa(i int) string {
-	if i == 0 {
-		return "0"
-	}
-	var b []byte
-	for i > 0 {
-		b = append([]byte{byte('0' + i%10)}, b...)
-		i /= 10
-	}
-	return string(b)
 }
 
 // LoadElim forwards stored values to subsequent loads within a basic

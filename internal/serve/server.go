@@ -49,7 +49,7 @@ type Config struct {
 	// per server, so (module state, target, memsize) keying collapses to
 	// the module's content stamp. Only sessions llee reports Resettable
 	// — offline-translated, no SMC redirect, no profiler — are pooled;
-	// anything else is discarded after its run, never reset.
+	// anything else is closed after its run, never reset.
 	PoolSessions int
 }
 
@@ -77,10 +77,15 @@ type Server struct {
 	wg       sync.WaitGroup
 
 	// pool holds finished reusable sessions keyed by module stamp, each
-	// list capped at poolCap. Workers pop, Reset, run, and push back;
-	// a replaced module's orphaned stamp is dropped wholesale.
+	// list capped at poolCap. Workers pop, Reset, run, and push back.
+	// refs counts the registered names and admitted jobs that refer to
+	// each stamp; when the count reaches zero the stamp is released on
+	// the spot — its pooled sessions close, its llee module state is
+	// dropped — and the pool never holds it again. Both guarded by
+	// poolMu; lock order is modMu, then poolMu.
 	poolMu  sync.Mutex
 	pool    map[string][]*llee.Session
+	refs    map[string]int
 	poolCap int
 }
 
@@ -164,6 +169,7 @@ func New(cfg Config) (*Server, error) {
 		jobs:    make(map[string]*job),
 		queue:   make(chan *job, cfg.Queue),
 		pool:    make(map[string][]*llee.Session),
+		refs:    make(map[string]int),
 		poolCap: poolCap,
 	}
 	for i := 0; i < cfg.Workers; i++ {
@@ -204,34 +210,85 @@ func (s *Server) Load(req LoadRequest) (LoadResponse, error) {
 		return LoadResponse{}, fmt.Errorf("%w: %v", llee.ErrBadModule, err)
 	}
 	ent := &moduleEntry{mod: m, stamp: llee.Stamp(enc)}
+	// The name's reference is taken before Preload, so a concurrent
+	// release of the same stamp either sees it and keeps the state, or
+	// drops the state before Preload rebuilds it.
+	s.retain(ent.stamp)
 	// Translate the whole module now, before it is runnable: the module
 	// state goes offline, so every session of it installs direct-call
 	// native code at setup — the precondition for pooled reuse. Paying
 	// translation once at load is the paper's offline economics; without
 	// this, the first request would create the state online and every
-	// session would stay unpoolable for the System's lifetime.
+	// session would stay unpoolable.
 	if err := s.cfg.System.Preload(ent.mod, s.cfg.Target); err != nil {
+		s.release(ent.stamp, nil)
 		return LoadResponse{}, err
 	}
 	s.modMu.Lock()
 	old := s.mods[req.Name]
 	s.mods[req.Name] = ent
-	orphaned := old != nil && old.stamp != ent.stamp
-	if orphaned {
-		for _, e := range s.mods {
-			if e.stamp == old.stamp {
-				orphaned = false
-				break
-			}
-		}
-	}
 	s.modMu.Unlock()
-	if orphaned {
-		s.poolMu.Lock()
-		delete(s.pool, old.stamp)
-		s.poolMu.Unlock()
+	if old != nil {
+		s.release(old.stamp, nil)
 	}
 	return LoadResponse{Name: req.Name, Stamp: ent.stamp}, nil
+}
+
+// lookup returns the module registered under name, with a reference to
+// its stamp taken for the job about to be admitted (nil: unknown). The
+// reference is taken under modMu, so a concurrent Load cannot release
+// the stamp between the lookup and the retain.
+func (s *Server) lookup(name string) *moduleEntry {
+	s.modMu.RLock()
+	defer s.modMu.RUnlock()
+	mod := s.mods[name]
+	if mod != nil {
+		s.retain(mod.stamp)
+	}
+	return mod
+}
+
+// retain records one more registered name or admitted job referring to
+// stamp.
+func (s *Server) retain(stamp string) {
+	s.poolMu.Lock()
+	s.refs[stamp]++
+	s.poolMu.Unlock()
+}
+
+// release drops one reference to stamp. sess, when non-nil, is the
+// session a finishing job ran on: it returns to the pool while the stamp
+// lives, is resettable (an SMC redirect or online mode disqualifies it)
+// and its list has room, and is closed otherwise. With the last
+// reference the stamp itself goes: its pooled sessions close and the
+// System drops its module state. The drop happens under poolMu so that
+// it cannot land after a concurrent Load of the same source retained
+// the stamp and preloaded it; for the offline states serve creates it
+// is a map delete.
+func (s *Server) release(stamp string, sess *llee.Session) {
+	var closing []*llee.Session
+	s.poolMu.Lock()
+	if n := s.refs[stamp] - 1; n > 0 {
+		s.refs[stamp] = n
+		if lst := s.pool[stamp]; sess != nil && sess.Resettable() && len(lst) < s.poolCap {
+			s.pool[stamp] = append(lst, sess)
+			sess = nil
+		}
+	} else {
+		delete(s.refs, stamp)
+		closing = s.pool[stamp]
+		delete(s.pool, stamp)
+		// Write-back failures only cost a warmer next start; an offline
+		// state has nothing left to write.
+		_ = s.cfg.System.Release(stamp, s.cfg.Target)
+	}
+	s.poolMu.Unlock()
+	if sess != nil {
+		sess.Close()
+	}
+	for _, c := range closing {
+		c.Close()
+	}
 }
 
 // admit runs the full admission pipeline. On refusal it returns a
@@ -243,13 +300,22 @@ func (s *Server) admit(ctx context.Context, req RunRequest) (*job, int, *errorBo
 		return nil, http.StatusServiceUnavailable,
 			&errorBody{Code: CodeDraining, Message: "server is draining", RetryAfter: 10}
 	}
-	s.modMu.RLock()
-	mod := s.mods[req.Module]
-	s.modMu.RUnlock()
+	mod := s.lookup(req.Module)
 	if mod == nil {
 		return nil, http.StatusNotFound,
 			&errorBody{Code: CodeNotFound, Message: "unknown module " + req.Module}
 	}
+	j, status, eb := s.enqueue(ctx, req, mod)
+	if eb != nil {
+		s.release(mod.stamp, nil)
+	}
+	return j, status, eb
+}
+
+// enqueue is admission past the module lookup: the tenant's rate limit
+// and gas budget, then the non-blocking enqueue. On refusal the caller
+// gives back the job's stamp reference.
+func (s *Server) enqueue(ctx context.Context, req RunRequest, mod *moduleEntry) (*job, int, *errorBody) {
 	if ok, wait := s.limiter.allow(req.Tenant); !ok {
 		s.tele.Counter(MetricRateLimited).Inc()
 		return nil, http.StatusTooManyRequests,
@@ -345,20 +411,6 @@ func (s *Server) poolGet(stamp string) *llee.Session {
 	return sess
 }
 
-// poolPut returns a finished session to the pool if it is still
-// resettable (an SMC redirect or online mode disqualifies it — such
-// sessions are evicted, never reset) and the module's list has room.
-func (s *Server) poolPut(stamp string, sess *llee.Session) {
-	if s.poolCap == 0 || !sess.Resettable() {
-		return
-	}
-	s.poolMu.Lock()
-	defer s.poolMu.Unlock()
-	if lst := s.pool[stamp]; len(lst) < s.poolCap {
-		s.pool[stamp] = append(lst, sess)
-	}
-}
-
 // sessionFor acquires the job's session: a pooled one reset to pristine
 // state (re-armed with this job's output writer, gas and tenant) when
 // available, else a cold build sealed for later reuse.
@@ -368,8 +420,9 @@ func (s *Server) sessionFor(w *workerState, j *job) (*llee.Session, bool, error)
 			s.tele.Counter(MetricSessionReuse).Inc()
 			return sess, true, nil
 		}
-		// Reset refused (poolPut filters, so this is belt-and-braces):
+		// Reset refused (release filters, so this is belt-and-braces):
 		// drop the session and build cold.
+		sess.Close()
 	}
 	s.tele.Counter(MetricSessionCold).Inc()
 	w.opts = append(w.opts[:0],
@@ -381,15 +434,25 @@ func (s *Server) sessionFor(w *workerState, j *job) (*llee.Session, bool, error)
 	return sess, false, err
 }
 
-// runJob executes one admitted job on this worker's goroutine.
+// runJob executes one admitted job on this worker's goroutine. The
+// job's stamp reference and session go back before its outcome is
+// published: once a client sees the response, the session is pooled or
+// closed, and a module replaced while the job ran is gone.
 func (s *Server) runJob(w *workerState, j *job) {
+	sess, status, res, eb := s.execJob(w, j)
+	s.release(j.mod.stamp, sess)
+	j.finish(status, res, eb)
+}
+
+// execJob runs one job to its outcome: the session it ran on (nil when
+// it never got one) and the response or wire error.
+func (s *Server) execJob(w *workerState, j *job) (*llee.Session, int, *RunResponse, *errorBody) {
 	s.tele.Gauge(MetricQueueDepth).Add(-1)
 	if j.ctx.Err() != nil {
 		// Canceled while queued: it never starts.
 		s.tele.Counter(MetricCanceled).Inc()
-		j.finish(http.StatusRequestTimeout, nil,
-			&errorBody{Code: CodeCanceled, Message: "canceled before execution started"})
-		return
+		return nil, http.StatusRequestTimeout, nil,
+			&errorBody{Code: CodeCanceled, Message: "canceled before execution started"}
 	}
 	s.tele.Counter(MetricStarted).Inc()
 	s.tele.Gauge(MetricActive).Add(1)
@@ -406,8 +469,7 @@ func (s *Server) runJob(w *workerState, j *job) {
 		s.tele.Histogram(MetricExecNS).Observe(time.Since(started).Nanoseconds())
 		s.tele.Counter(MetricErrors).Inc()
 		status, eb := classifyError(err, nil)
-		j.finish(status, nil, eb)
-		return
+		return nil, status, nil, eb
 	}
 	res, err := sess.Run(j.ctx, j.req.Entry, j.req.Args...)
 	execNS := time.Since(started).Nanoseconds()
@@ -420,14 +482,12 @@ func (s *Server) runJob(w *workerState, j *job) {
 	}
 	if err != nil {
 		status, eb := classifyError(err, s.tele)
-		j.finish(status, nil, eb)
 		// Errored runs left the machine consistent (traps, gas and
 		// cancels unwind at block boundaries): the session pools fine.
-		s.poolPut(j.mod.stamp, sess)
-		return
+		return sess, status, nil, eb
 	}
 	s.tele.Counter(MetricCompleted).Inc()
-	j.finish(http.StatusOK, &RunResponse{
+	return sess, http.StatusOK, &RunResponse{
 		Value:    res.Value,
 		Output:   w.out.String(),
 		Instrs:   res.Instrs,
@@ -437,8 +497,7 @@ func (s *Server) runJob(w *workerState, j *job) {
 		ExecNS:   execNS,
 		CacheHit: sess.CacheHit(),
 		Reused:   reused,
-	}, nil)
-	s.poolPut(j.mod.stamp, sess)
+	}, nil
 }
 
 // classifyError maps a run failure into the wire taxonomy (and bumps
